@@ -382,156 +382,6 @@ fn bench_archsim_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-access cost of the lock-free ring transport, on the same 256 KiB
-/// byte-scan stream as `archsim_throughput` — extending the null-vs-
-/// counting characterization methodology to the attached ring.
-///
-/// - `null-dyn` / `counting-dyn`: the PR 6 baselines — per-op dynamic
-///   dispatch into a do-nothing / counter-only sink. `null-dyn` is the
-///   floor's denominator.
-/// - `ring-attached`: per-op dispatch into `RingTrace` with a collector
-///   attached — the *producer-side* transport cost (encode, slot store,
-///   batched tail publish), which is exactly what the "never block
-///   the hot loop" claim is about. The ring is sized to the stream and
-///   publication deferred to one flush so that on this single-CPU
-///   container the parked consumer cannot have its drain time
-///   scheduler-interleaved into the producer's window; the drain itself
-///   runs in the un-timed teardown (`iter_batched` drops routine
-///   outputs outside the measurement). CI guards ring-attached ≤ 2×
-///   null-dyn.
-/// - `ring-e2e-sim`: the full `--telemetry ring` path end to end —
-///   producer emit, collector drain, `MemorySim` replay and the final
-///   join all on the clock. Comparable against
-///   `archsim_throughput/buffered-4096` (the inline `--trace` path); on
-///   a multi-core host the drain and simulation overlap the emit and
-///   this number falls toward `ring-attached`.
-fn bench_ring_transport(c: &mut Criterion) {
-    use rtr_archsim::MemorySim;
-    use rtr_harness::Collector;
-    use rtr_trace::{ring, MemTrace, RingConsumer, RingTrace, TraceOp};
-
-    let mut group = c.benchmark_group("ring_transport");
-    group.sample_size(10);
-
-    // The traced kernel is the archsim byte-scan: two byte-granular
-    // passes over a 256 KiB buffer, one store per 16 bytes on the first
-    // pass (524288 accesses per iteration). Unlike replaying a
-    // pre-materialized op vector into an empty dispatch loop, the scan
-    // does the kernel's real per-access work (byte load + accumulate),
-    // so the null baseline measures what tracing actually rides on.
-    let buf: Vec<u8> = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
-
-    fn scan(sink: &mut dyn MemTrace, buf: &[u8], acc: &mut u64) {
-        for pass in 0..2u64 {
-            for (i, byte) in buf.iter().enumerate() {
-                *acc = acc.wrapping_add(u64::from(*byte));
-                let addr = i as u64;
-                if addr % 16 == 8 && pass == 0 {
-                    sink.write(addr);
-                } else {
-                    sink.read(addr);
-                }
-            }
-        }
-    }
-
-    /// Launders the concrete sink type so LLVM cannot devirtualize the
-    /// dispatch inside `scan` — without this, a `NullTrace` sink folds
-    /// to nothing and the whole scan vectorizes (~0.4 ns/op), deflating
-    /// the baseline below any functional sink's reach (see the
-    /// `ring_probe` integration test).
-    fn opaque(sink: &mut dyn MemTrace) -> &mut dyn MemTrace {
-        black_box(sink)
-    }
-
-    // Matches the scan's access count: 2 passes x 256 Ki bytes.
-    let stream_len = 2 * buf.len();
-
-    /// Consumes and discards; isolates transport cost from consumer cost.
-    struct Discard;
-    impl RingConsumer<TraceOp> for Discard {
-        fn consume_batch(&mut self, _batch: &[TraceOp]) {}
-    }
-
-    group.bench_function("null-dyn", |b| {
-        b.iter(|| {
-            let mut null = NullTrace;
-            let mut acc = 0u64;
-            scan(opaque(&mut null), &buf, &mut acc);
-            black_box(acc)
-        })
-    });
-    group.bench_function("counting-dyn", |b| {
-        b.iter(|| {
-            let mut counts = rtr_trace::CountingTrace::default();
-            let mut acc = 0u64;
-            scan(opaque(&mut counts), &buf, &mut acc);
-            black_box((counts, acc))
-        })
-    });
-    /// Un-timed teardown: completes the drain and joins the collector
-    /// when `iter_batched` drops the routine's output after stopping
-    /// the clock.
-    struct Teardown {
-        producer: Option<rtr_trace::RingProducer<TraceOp>>,
-        collector: Option<Collector<Discard>>,
-    }
-    impl Drop for Teardown {
-        fn drop(&mut self) {
-            drop(self.producer.take());
-            if let Some(collector) = self.collector.take() {
-                collector.finish();
-            }
-        }
-    }
-
-    // Capacity covering the whole stream: the producer never waits on
-    // the consumer, so the timed window holds producer work only.
-    let stream_capacity = stream_len.next_power_of_two();
-    group.bench_function("ring-attached", |b| {
-        b.iter_batched(
-            || {
-                let (tx, rx) = ring::<TraceOp>(stream_capacity);
-                (
-                    RingTrace::with_batch(tx, stream_capacity),
-                    Collector::spawn(rx, Discard),
-                )
-            },
-            |(mut trace, collector)| {
-                let mut acc = 0u64;
-                scan(opaque(&mut trace), &buf, &mut acc);
-                black_box(acc);
-                let producer = trace.into_producer();
-                black_box(Teardown {
-                    producer: Some(producer),
-                    collector: Some(collector),
-                })
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("ring-e2e-sim", |b| {
-        b.iter_batched(
-            || {
-                let (tx, rx) = ring::<TraceOp>(1 << 16);
-                (
-                    RingTrace::new(tx),
-                    Collector::spawn(rx, MemorySim::i3_8109u()),
-                )
-            },
-            |(mut trace, collector)| {
-                let mut acc = 0u64;
-                scan(opaque(&mut trace), &buf, &mut acc);
-                black_box(acc);
-                drop(trace.into_producer());
-                black_box(collector.finish().report());
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.finish();
-}
-
 /// Sequential-vs-parallel variants of the four parallelized hot loops.
 ///
 /// `seq` is the exact legacy path (`threads = 1`); `par4` runs the same
@@ -1052,7 +902,6 @@ criterion_group!(
     bench_control,
     bench_characterization,
     bench_archsim_throughput,
-    bench_ring_transport,
     bench_parallel,
     bench_ekf_dense_vs_sparse,
     bench_workspace,

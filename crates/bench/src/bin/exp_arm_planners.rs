@@ -15,6 +15,7 @@
 //! ```
 
 use rtr_archsim::MemorySim;
+use rtr_bench::cli_or_exit;
 use rtr_harness::{Args, Profiler, Table};
 use rtr_planning::{ArmProblem, Prm, PrmConfig, Rrt, RrtConfig, RrtPp, RrtStar};
 use rtr_trace::NullTrace;
@@ -113,9 +114,9 @@ fn run_seed(problem: &ArmProblem, seed: u64, threads: usize) -> Option<SeedRun> 
 }
 
 fn main() {
-    let args = Args::parse_env().expect("valid arguments");
-    let seeds = args.get_u64("seeds", 5).expect("numeric seeds");
-    let threads = args.get_usize("threads", 0).expect("numeric threads");
+    let args = cli_or_exit("exp_arm_planners", Args::parse_env());
+    let seeds = cli_or_exit("exp_arm_planners", args.get_u64("seeds", 5));
+    let threads = cli_or_exit("exp_arm_planners", args.get_usize("threads", 0));
     println!("EXP-F8..12: arm planners on Map-F / Map-C, averaged over {seeds} seeds\n");
 
     for (map_name, make) in [

@@ -19,16 +19,14 @@
 //! deterministic harness pool: `--threads N` fans the kernel × {off, on}
 //! cells out without changing a single digit of the output (0 = one
 //! worker per core). `--out FILE` additionally writes the table as a
-//! machine-readable JSON artifact.
-//!
-//! `--telemetry ring` routes every cell's op stream through the lock-free
-//! SPSC ring to a collector-thread simulator instead of simulating
-//! inline; the artifact is byte-identical either way (CI asserts this),
-//! the knob only moves where the simulation time is spent.
+//! machine-readable JSON artifact. A malformed option prints the error
+//! and exits with status 2.
 
-use rtr_bench::characterization::{collect_with, CharReport};
-use rtr_core::Telemetry;
+use rtr_bench::characterization::{collect, CharReport};
+use rtr_bench::cli_or_exit;
 use rtr_harness::{Args, Table};
+
+const BIN: &str = "exp_characterization";
 
 /// Formats an off→on pair of percentages.
 fn pair(off: f64, on: f64) -> String {
@@ -99,28 +97,21 @@ fn render(report: &CharReport) -> Table {
 }
 
 fn main() {
-    let args = Args::parse_env().unwrap_or_else(|e| {
-        eprintln!("exp_characterization: {e}");
-        std::process::exit(2);
-    });
+    let args = cli_or_exit(BIN, Args::parse_env());
     let full = args.get_flag("full");
-    let vldp = args.get_usize("vldp", 4).unwrap_or(4).max(1);
-    let threads = args.get_usize("threads", 0).unwrap_or(0);
+    let vldp = cli_or_exit(BIN, args.get_usize("vldp", 4)).max(1);
+    let threads = cli_or_exit(BIN, args.get_usize("threads", 0));
     let out = args.get_str("out", "");
-    let telemetry = Telemetry::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("exp_characterization: {e}");
-        std::process::exit(2);
-    });
 
     println!(
         "EXP-CHAR: suite-wide cache characterization ({} inputset, VLDP degree {vldp})\n",
         if full { "full" } else { "small" }
     );
-    let report = collect_with(full, vldp, threads, telemetry);
+    let report = collect(full, vldp, threads);
     print!("{}", render(&report));
     if !out.is_empty() {
         if let Err(e) = std::fs::write(&out, report.to_json()) {
-            eprintln!("exp_characterization: writing {out}: {e}");
+            eprintln!("{BIN}: writing {out}: {e}");
             std::process::exit(1);
         }
         println!("\nWrote {out}");

@@ -13,7 +13,7 @@
 //! ```
 
 use rtr_baselines::{CRobAstar, PRobAstar, PRobIcp, PRobKnn};
-use rtr_bench::{eng, time_once};
+use rtr_bench::{cli_or_exit, eng, time_once};
 use rtr_geom::{maps, Footprint, KdTree, Point3, RigidTransform};
 use rtr_harness::{Args, Pool, Profiler, Table};
 use rtr_perception::{Icp, IcpConfig};
@@ -22,8 +22,8 @@ use rtr_sim::{scene, SimRng};
 use rtr_trace::NullTrace;
 
 fn main() {
-    let args = Args::parse_env().expect("valid arguments");
-    let max_scale = args.get_usize("max-scale", 8).expect("numeric max-scale");
+    let args = cli_or_exit("exp_librarycomp", Args::parse_env());
+    let max_scale = cli_or_exit("exp_librarycomp", args.get_usize("max-scale", 8));
     println!("EXP-F21: library comparison on the PythonRobotics demo map (Fig. 21)\n");
     println!("(--max-scale {max_scale}; the paper sweeps to 64 — the baselines' cost");
     println!(" grows superlinearly, so large scales take correspondingly long)\n");

@@ -6,6 +6,7 @@
 //! cargo run --release -p rtr-bench --bin exp_pfl
 //! ```
 
+use rtr_bench::cli_or_exit;
 use rtr_core::kernels::perception::PflKernel;
 use rtr_geom::maps;
 use rtr_harness::{Args, Profiler, Table};
@@ -13,8 +14,8 @@ use rtr_perception::{ParticleFilter, PflConfig, PflInit};
 use rtr_trace::NullTrace;
 
 fn main() {
-    let args = Args::parse_env().unwrap_or_default();
-    let threads = args.get_usize("threads", 0).unwrap_or(0);
+    let args = cli_or_exit("exp_pfl", Args::parse_env());
+    let threads = cli_or_exit("exp_pfl", args.get_usize("threads", 0));
     println!("EXP-PFL: particle-filter localization across five map regions\n");
     let map = maps::indoor_floor_plan(256, 0.1, 7);
     let mut table = Table::new(&[

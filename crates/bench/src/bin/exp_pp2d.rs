@@ -6,14 +6,15 @@
 //! cargo run --release -p rtr-bench --bin exp_pp2d [--size 1024]
 //! ```
 
+use rtr_bench::cli_or_exit;
 use rtr_geom::maps;
 use rtr_harness::{Args, Profiler, Table};
 use rtr_planning::{Pp2d, Pp2dConfig};
 use rtr_trace::NullTrace;
 
 fn main() {
-    let args = Args::parse_env().expect("valid arguments");
-    let size = args.get_usize("size", 1024).expect("numeric size");
+    let args = cli_or_exit("exp_pp2d", Args::parse_env());
+    let size = cli_or_exit("exp_pp2d", args.get_usize("size", 1024));
     println!("EXP-F5: car path planning on a {size}x{size} city map\n");
 
     // 0.5 m cells: the 4.8 m x 1.8 m footprint covers ~55 cells per probe.

@@ -9,14 +9,15 @@
 //! ```
 
 use rtr_archsim::MemorySim;
+use rtr_bench::cli_or_exit;
 use rtr_geom::maps;
 use rtr_harness::{Args, Profiler, Table};
 use rtr_planning::{Pp3d, Pp3dConfig};
 use rtr_trace::NullTrace;
 
 fn main() {
-    let args = Args::parse_env().expect("valid arguments");
-    let size = args.get_usize("size", 192).expect("numeric size");
+    let args = cli_or_exit("exp_pp3d", Args::parse_env());
+    let size = cli_or_exit("exp_pp3d", args.get_usize("size", 192));
     println!("EXP-F6: UAV path planning over a {size}x{size}x16 campus\n");
     let map = maps::campus_3d(size, size, 16, 1.0, 11);
     let config = Pp3dConfig {

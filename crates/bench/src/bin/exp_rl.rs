@@ -8,15 +8,15 @@
 //! cargo run --release -p rtr-bench --bin exp_rl
 //! ```
 
-use rtr_bench::sparkline;
+use rtr_bench::{cli_or_exit, sparkline};
 use rtr_control::{BayesOpt, BoConfig, Cem, CemConfig};
 use rtr_harness::{Args, Profiler, Table};
 use rtr_sim::ThrowSim;
 use rtr_trace::NullTrace;
 
 fn main() {
-    let args = Args::parse_env().unwrap_or_default();
-    let threads = args.get_usize("threads", 0).unwrap_or(0);
+    let args = cli_or_exit("exp_rl", Args::parse_env());
+    let threads = cli_or_exit("exp_rl", args.get_usize("threads", 0));
     println!("EXP-F17/18/19: ball-throwing reinforcement learning\n");
     let sim = ThrowSim::new(2.0);
     println!(

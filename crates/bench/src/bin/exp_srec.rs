@@ -8,6 +8,7 @@
 //! ```
 
 use rtr_archsim::MemorySim;
+use rtr_bench::cli_or_exit;
 use rtr_geom::{Point3, RigidTransform};
 use rtr_harness::{Args, Profiler, Table};
 use rtr_perception::{Icp, IcpConfig};
@@ -15,8 +16,8 @@ use rtr_sim::{scene, SimRng};
 use rtr_trace::NullTrace;
 
 fn main() {
-    let args = Args::parse_env().unwrap_or_default();
-    let threads = args.get_usize("threads", 0).unwrap_or(0);
+    let args = cli_or_exit("exp_srec", Args::parse_env());
+    let threads = cli_or_exit("exp_srec", args.get_usize("threads", 0));
     println!("EXP-F4: ICP scene reconstruction of the synthetic living room\n");
     let mut rng = SimRng::seed_from(6);
     let room = scene::living_room(60_000, &mut rng);

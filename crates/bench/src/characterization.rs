@@ -8,7 +8,7 @@
 //! preserves input order, the assembled rows are byte-identical for any
 //! `--threads` value (the trace-identity suite pins this).
 
-use rtr_core::{registry, registry_lookup, CacheReport, Telemetry};
+use rtr_core::{registry, registry_lookup, CacheReport};
 use rtr_harness::{Args, Pool};
 
 /// Reduced per-kernel arguments used unless `--full` is passed: the same
@@ -45,20 +45,6 @@ pub fn small_args(kernel: &str) -> &'static [&'static str] {
 /// Returns a rendered error string when the kernel is unknown, its CLI
 /// rejects the tokens, the run fails, or it ignores `--trace`.
 pub fn traced_run(kernel: &str, full: bool, vldp: usize) -> Result<CacheReport, String> {
-    traced_run_with(kernel, full, vldp, Telemetry::Inline)
-}
-
-/// [`traced_run`] on an explicit trace transport: `Telemetry::Ring`
-/// streams the ops through the SPSC ring to a collector-thread simulator
-/// instead of simulating inline. Reports are byte-identical either way
-/// (the trace-identity suite pins this); the knob exists so the
-/// characterization sweep can exercise and time both transports.
-pub fn traced_run_with(
-    kernel: &str,
-    full: bool,
-    vldp: usize,
-    telemetry: Telemetry,
-) -> Result<CacheReport, String> {
     let k = registry_lookup(kernel).map_err(|e| e.to_string())?;
     let mut tokens: Vec<String> = if full {
         Vec::new()
@@ -72,10 +58,6 @@ pub fn traced_run_with(
     if vldp > 0 {
         tokens.push("--vldp".into());
         tokens.push(vldp.to_string());
-    }
-    if telemetry == Telemetry::Ring {
-        tokens.push("--telemetry".into());
-        tokens.push("ring".into());
     }
     let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
     let args = Args::parse_tokens(&refs).map_err(|e| e.to_string())?;
@@ -116,42 +98,21 @@ pub struct CharReport {
 /// (0 = one per core). Rows come back in registry order regardless of
 /// thread count.
 pub fn collect(full: bool, vldp: usize, threads: usize) -> CharReport {
-    collect_with(full, vldp, threads, Telemetry::Inline)
-}
-
-/// [`collect`] on an explicit trace transport.
-pub fn collect_with(full: bool, vldp: usize, threads: usize, telemetry: Telemetry) -> CharReport {
     let names: Vec<String> = registry().iter().map(|k| k.name().to_string()).collect();
-    collect_kernels_with(&names, full, vldp, threads, telemetry)
+    collect_kernels(&names, full, vldp, threads)
 }
 
 /// [`collect`] over an explicit kernel subset, in the given order; the
 /// identity suites use this to pin `--threads` invariance on a cheap
 /// slice of the table.
 pub fn collect_kernels(names: &[String], full: bool, vldp: usize, threads: usize) -> CharReport {
-    collect_kernels_with(names, full, vldp, threads, Telemetry::Inline)
-}
-
-/// [`collect_kernels`] on an explicit trace transport. Each pool worker
-/// runs its cell's whole transport (with `Telemetry::Ring`, its own ring
-/// and collector thread), so cells stay independent and rows stay
-/// byte-identical across thread counts and transports.
-pub fn collect_kernels_with(
-    names: &[String],
-    full: bool,
-    vldp: usize,
-    threads: usize,
-    telemetry: Telemetry,
-) -> CharReport {
     let cells: Vec<(String, usize)> = names
         .iter()
         .flat_map(|n| [(n.clone(), 0), (n.clone(), vldp)])
         .collect();
     let pool = Pool::new(threads);
     let mut results = pool
-        .par_map(&cells, |_, (name, degree)| {
-            traced_run_with(name, full, *degree, telemetry)
-        })
+        .par_map(&cells, |_, (name, degree)| traced_run(name, full, *degree))
         .into_iter();
     let rows = names
         .iter()

@@ -27,6 +27,18 @@ pub mod characterization;
 
 use std::time::{Duration, Instant};
 
+use rtr_harness::CliError;
+
+/// Unwraps a command-line parse result, or prints the error prefixed
+/// with `binary` and exits with status 2 — the one policy every
+/// experiment binary applies to malformed arguments.
+pub fn cli_or_exit<T>(binary: &str, parsed: Result<T, CliError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{binary}: {e}");
+        std::process::exit(2)
+    })
+}
+
 /// Times one closure invocation.
 pub fn time_once<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();

@@ -8,13 +8,13 @@
 //! the cache rows, and prefetching must never change the demand stream.
 
 use rtr_archsim::MemorySim;
-use rtr_bench::characterization::{collect_kernels, collect_kernels_with};
+use rtr_bench::characterization::collect_kernels;
 use rtr_control::dmp::wheeled_robot_demo;
 use rtr_control::mpc::winding_reference;
 use rtr_control::{Dmp, DmpConfig, Mpc, MpcConfig};
-use rtr_core::{registry, Telemetry};
-use rtr_harness::{Args, Collector, Profiler};
-use rtr_trace::{ring, BufferedTrace, MemTrace, RingTrace, TraceOp};
+use rtr_core::registry;
+use rtr_harness::{Args, Profiler};
+use rtr_trace::{BufferedTrace, MemTrace};
 
 /// Small per-kernel arguments so the traced replays stay fast; mirrors
 /// the `exp_characterization` reduced inputset.
@@ -171,103 +171,6 @@ fn buffered_transport_matches_per_op_simulation_on_kernel_streams() {
         let mut profiler = Profiler::new();
         Mpc::new(MpcConfig::default()).track(&reference, &mut profiler, sink);
     });
-}
-
-/// The ring transport end-to-end on real kernel streams: the kernel
-/// thread publishes through `RingTrace` while a `Collector` thread runs
-/// the simulation concurrently, and the final report must be
-/// byte-identical to the inline `BufferedTrace` path — the lossless
-/// order-preserving ring plus batch-size-invariant `process_batch` leave
-/// the simulator no way to tell the transports apart.
-#[test]
-fn ring_transport_matches_inline_simulation_on_kernel_streams() {
-    let (demo, duration) = wheeled_robot_demo(200);
-    let dmp = Dmp::learn(&demo, duration, DmpConfig::default());
-    let reference = winding_reference(40);
-
-    let sims = || [MemorySim::i3_8109u(), MemorySim::i3_8109u().with_vldp(2)];
-    let drive = |label: &str, run: &dyn Fn(&mut dyn MemTrace)| {
-        for (variant, sim) in sims().into_iter().enumerate() {
-            // Reference: the inline buffered path TraceSession uses.
-            let mut inline = BufferedTrace::new(sim.clone());
-            run(&mut inline);
-            let expected = inline.into_inner().report();
-            // A deliberately small ring (forcing wrap-around and
-            // backpressure mid-stream) and a roomy one.
-            for capacity in [1usize << 6, 1 << 14] {
-                let (tx, rx) = ring::<TraceOp>(capacity);
-                let collector = Collector::spawn(rx, sim.clone());
-                let mut trace = RingTrace::new(tx);
-                run(&mut trace);
-                drop(trace.into_producer());
-                assert_eq!(
-                    collector.finish().report(),
-                    expected,
-                    "{label}: variant {variant} diverged at ring capacity {capacity}"
-                );
-            }
-        }
-    };
-
-    drive("13.dmp", &|sink| {
-        let mut profiler = Profiler::new();
-        dmp.rollout(duration, &mut profiler, sink);
-    });
-    drive("14.mpc", &|sink| {
-        let mut profiler = Profiler::new();
-        Mpc::new(MpcConfig::default()).track(&reference, &mut profiler, sink);
-    });
-}
-
-/// The registry-level knob: `--telemetry ring` on real kernels must
-/// reproduce the inline cache report exactly — the guarantee behind the
-/// CI leg that byte-compares the two `CHAR_report.json` artifacts.
-#[test]
-fn telemetry_ring_kernel_runs_match_inline_reports() {
-    for name in ["13.dmp", "14.mpc"] {
-        let kernel_list = registry();
-        let kernel = kernel_list.iter().find(|k| k.name() == name).unwrap();
-        let extra = small_args(name);
-        let inline = kernel
-            .run(&parse(extra, &["--trace", "--vldp", "2"]))
-            .unwrap();
-        let ringed = kernel
-            .run(&parse(
-                extra,
-                &["--trace", "--vldp", "2", "--telemetry", "ring"],
-            ))
-            .unwrap();
-        assert_eq!(
-            inline.cache, ringed.cache,
-            "{name}: ring transport changed the cache report"
-        );
-        // Observation-only still holds: result metrics are untouched.
-        let shared = inline
-            .metrics
-            .iter()
-            .zip(ringed.metrics.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        assert!(
-            shared >= inline.metrics.len() - 1,
-            "{name}: metrics diverged"
-        );
-    }
-}
-
-/// The sharded table on the ring transport equals the inline table —
-/// every digit of every row, across thread counts.
-#[test]
-fn ring_characterization_table_matches_inline() {
-    let names: Vec<String> = ["13.dmp", "15.cem"].iter().map(|n| n.to_string()).collect();
-    let inline = collect_kernels_with(&names, false, 2, 1, Telemetry::Inline);
-    for threads in [1usize, 4] {
-        assert_eq!(
-            collect_kernels_with(&names, false, 2, threads, Telemetry::Ring),
-            inline,
-            "ring table diverged at --threads {threads}"
-        );
-    }
 }
 
 /// The sharded characterization table must not depend on the worker

@@ -130,14 +130,10 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The shared `--trace`/`--vldp`/`--telemetry` CLI options every kernel
-/// accepts (the registry-level trace path lives in [`crate::trace`]).
-pub(crate) fn trace_options() -> [OptionSpec; 3] {
-    [
-        crate::trace::trace_option(),
-        crate::trace::vldp_option(),
-        crate::trace::telemetry_option(),
-    ]
+/// The shared `--trace`/`--vldp` CLI options every kernel accepts (the
+/// registry-level trace path lives in [`crate::trace`]).
+pub(crate) fn trace_options() -> [OptionSpec; 2] {
+    [crate::trace::trace_option(), crate::trace::vldp_option()]
 }
 
 /// Builds a [`KernelReport`] from a finished profiler, metric list and

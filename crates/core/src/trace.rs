@@ -8,8 +8,8 @@
 //! the shared `--trace`/`--vldp` options and handing its sink to the
 //! kernel.
 
-use rtr_harness::{Args, Collector, OptionSpec};
-use rtr_trace::{BufferedTrace, MemTrace, NullTrace, RingTrace};
+use rtr_harness::{Args, OptionSpec};
+use rtr_trace::{BufferedTrace, MemTrace, NullTrace};
 
 use crate::KernelError;
 
@@ -32,89 +32,15 @@ pub fn vldp_option() -> OptionSpec {
     }
 }
 
-/// The shared `--telemetry` CLI option.
-pub fn telemetry_option() -> OptionSpec {
-    OptionSpec {
-        name: "telemetry",
-        help:
-            "Trace transport: 'inline' simulates on the kernel thread, 'ring' on a collector thread",
-    }
-}
-
-/// Which transport carries the traced op stream to the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Telemetry {
-    /// Simulate in place on the kernel thread ([`BufferedTrace`] over
-    /// `MemorySim`) — the default.
-    #[default]
-    Inline,
-    /// Stream ops through the lock-free SPSC ring to a collector thread
-    /// that owns the simulator ([`RingTrace`] + [`Collector`]). The op
-    /// stream is unchanged, so the final report is byte-identical; the
-    /// kernel thread only pays the producer cost.
-    Ring,
-}
-
-impl Telemetry {
-    /// Parses the shared `--telemetry` option (default `inline`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::Cli`] for values other than
-    /// `inline`/`ring`.
-    pub fn from_args(args: &Args) -> Result<Self, KernelError> {
-        match args.get_str("telemetry", "inline").as_str() {
-            "inline" => Ok(Telemetry::Inline),
-            "ring" => Ok(Telemetry::Ring),
-            other => Err(KernelError::Cli(rtr_harness::CliError::BadValue {
-                option: "telemetry".into(),
-                value: other.into(),
-                expected: "'inline' or 'ring'",
-            })),
-        }
-    }
-}
-
-/// Capacity (ops) of the trace ring: 64 Ki ops × 16 B/op = 1 MiB,
-/// enough slack that the collector's simulation pace, not the ring size,
-/// sets the backpressure.
-const TRACE_RING_CAPACITY: usize = 1 << 16;
-
-/// The attached transport: the sink the kernel writes plus whatever owns
-/// the simulator.
-#[derive(Debug)]
-enum Transport {
-    /// Simulator wrapped in the batching adapter, on the kernel thread.
-    Inline(BufferedTrace<rtr_archsim::MemorySim>),
-    /// Producer sink on the kernel thread; the simulator lives in the
-    /// collector thread and is recovered (with its report) at `finish`.
-    Ring {
-        trace: RingTrace,
-        collector: Collector<rtr_archsim::MemorySim>,
-    },
-}
-
 /// One kernel run's tracing state: either a configured cache simulator
 /// (`--trace`) or the zero-cost [`NullTrace`].
 ///
-/// Two transports carry the stream to the simulator, selected by
-/// `--telemetry`:
-///
-/// - **inline** (default): the simulator is held behind a
-///   [`BufferedTrace`] so the `&mut dyn MemTrace` the kernel emits into
-///   pays one virtual dispatch per buffer (4096 ops) instead of one per
-///   access; the flush lands in `MemorySim::process_batch`, the
-///   monomorphic fast path.
-/// - **ring**: the kernel thread writes a [`RingTrace`] producer (same
-///   batching, then a lock-free SPSC publish) and a [`Collector`]
-///   thread runs the simulation concurrently. The transport is lossless
-///   and order-preserving and `process_batch` is batch-size invariant,
-///   so the report is byte-identical to the inline path's — only where
-///   the simulation time is spent changes.
-///
-/// [`finish`](TraceSession::finish) drains the transport tail (and
-/// joins the collector), so reports are identical to an unbuffered
-/// run's.
+/// The simulator is held behind a [`BufferedTrace`] on the kernel
+/// thread, so the `&mut dyn MemTrace` the kernel emits into pays one
+/// virtual dispatch per buffer (4096 ops) instead of one per access; the
+/// flush lands in `MemorySim::process_batch`, the monomorphic fast path.
+/// [`finish`](TraceSession::finish) drains the buffer tail, so reports
+/// are identical to an unbuffered run's.
 ///
 /// # Example
 ///
@@ -130,23 +56,20 @@ enum Transport {
 /// ```
 #[derive(Debug)]
 pub struct TraceSession {
-    transport: Option<Transport>,
+    sim: Option<BufferedTrace<rtr_archsim::MemorySim>>,
     null: NullTrace,
 }
 
 impl TraceSession {
-    /// Builds the session from the shared
-    /// `--trace`/`--vldp`/`--telemetry` options.
+    /// Builds the session from the shared `--trace`/`--vldp` options.
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::Cli`] when `--vldp` or `--telemetry` is
-    /// malformed.
+    /// Returns [`KernelError::Cli`] when `--vldp` is malformed.
     pub fn from_args(args: &Args) -> Result<Self, KernelError> {
         let degree = args.get_usize("vldp", 0)?;
-        let telemetry = Telemetry::from_args(args)?;
         Ok(if args.get_flag("trace") {
-            Self::enabled_with(telemetry, degree)
+            Self::enabled(degree)
         } else {
             Self::disabled()
         })
@@ -155,65 +78,39 @@ impl TraceSession {
     /// An untraced session (no simulator), for callers without CLI args.
     pub fn disabled() -> Self {
         TraceSession {
-            transport: None,
+            sim: None,
             null: NullTrace,
         }
     }
 
     /// A traced session with the paper's i3-8109U hierarchy, optionally
-    /// with a VLDP prefetcher attached (degree 0 = off), on the inline
-    /// transport.
+    /// with a VLDP prefetcher attached (degree 0 = off).
     pub fn enabled(vldp_degree: usize) -> Self {
-        Self::enabled_with(Telemetry::Inline, vldp_degree)
-    }
-
-    /// A traced session on an explicit transport.
-    pub fn enabled_with(telemetry: Telemetry, vldp_degree: usize) -> Self {
         let sim = rtr_archsim::MemorySim::i3_8109u();
         let sim = if vldp_degree > 0 {
             sim.with_vldp(vldp_degree)
         } else {
             sim
         };
-        let transport = match telemetry {
-            Telemetry::Inline => Transport::Inline(BufferedTrace::new(sim)),
-            Telemetry::Ring => {
-                let (tx, rx) = rtr_trace::ring::<rtr_trace::TraceOp>(TRACE_RING_CAPACITY);
-                Transport::Ring {
-                    trace: RingTrace::new(tx),
-                    collector: Collector::spawn(rx, sim),
-                }
-            }
-        };
         TraceSession {
-            transport: Some(transport),
+            sim: Some(BufferedTrace::new(sim)),
             null: NullTrace,
         }
     }
 
-    /// The sink to hand to the kernel: the transport when tracing, the
-    /// do-nothing sink otherwise.
+    /// The sink to hand to the kernel: the buffered simulator when
+    /// tracing, the do-nothing sink otherwise.
     pub fn sink(&mut self) -> &mut dyn MemTrace {
-        match &mut self.transport {
-            Some(Transport::Inline(sim)) => sim,
-            Some(Transport::Ring { trace, .. }) => trace,
+        match &mut self.sim {
+            Some(sim) => sim,
             None => &mut self.null,
         }
     }
 
     /// Consumes the session into the cache report (`None` when
-    /// untraced), flushing any ops still buffered in the transport and,
-    /// on the ring transport, joining the collector thread.
+    /// untraced), flushing any ops still buffered.
     pub fn finish(self) -> Option<CacheReport> {
-        match self.transport? {
-            Transport::Inline(buffered) => Some(buffered.into_inner().report()),
-            Transport::Ring { trace, collector } => {
-                // Publish the producer tail before stopping the drain
-                // loop; the collector's post-stop drain picks it up.
-                drop(trace.into_producer());
-                Some(collector.finish().report())
-            }
-        }
+        self.sim.map(|buffered| buffered.into_inner().report())
     }
 }
 
@@ -283,42 +180,6 @@ mod tests {
     fn vldp_without_trace_is_untraced() {
         let session = TraceSession::from_args(&args(&["--vldp", "2"])).unwrap();
         assert!(session.finish().is_none());
-    }
-
-    #[test]
-    fn telemetry_option_parses_and_rejects() {
-        assert_eq!(Telemetry::from_args(&args(&[])).unwrap(), Telemetry::Inline);
-        assert_eq!(
-            Telemetry::from_args(&args(&["--telemetry", "inline"])).unwrap(),
-            Telemetry::Inline
-        );
-        assert_eq!(
-            Telemetry::from_args(&args(&["--telemetry", "ring"])).unwrap(),
-            Telemetry::Ring
-        );
-        assert!(Telemetry::from_args(&args(&["--telemetry", "bogus"])).is_err());
-    }
-
-    #[test]
-    fn ring_transport_report_matches_inline() {
-        let emit = |session: &mut TraceSession| {
-            let sink = session.sink();
-            assert!(sink.enabled());
-            // A stream with hits, misses and writes across several lines.
-            for pass in 0..3u64 {
-                for i in 0..512u64 {
-                    sink.read(i * 64);
-                    if (i + pass) % 7 == 0 {
-                        sink.write(i * 64 + 8);
-                    }
-                }
-            }
-        };
-        let mut inline = TraceSession::from_args(&args(&["--trace"])).unwrap();
-        emit(&mut inline);
-        let mut ring = TraceSession::from_args(&args(&["--trace", "--telemetry", "ring"])).unwrap();
-        emit(&mut ring);
-        assert_eq!(inline.finish().unwrap(), ring.finish().unwrap());
     }
 
     #[test]

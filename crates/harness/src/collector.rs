@@ -3,10 +3,9 @@
 //! The transport inverts where the expensive work happens. On the hot
 //! thread, recording a sample is a handful of relaxed stores and one
 //! release store into the ring ([`rtr_trace::ring`]); everything costly —
-//! the cache-hierarchy walk in `MemorySim`, histogram bucketing in
-//! [`MetricMap`](rtr_trace::MetricMap), report writing — lives in a
-//! [`RingConsumer`] owned by a `Collector` thread that drains the ring
-//! concurrently.
+//! histogram bucketing in [`MetricMap`](rtr_trace::MetricMap), report
+//! writing — lives in a [`RingConsumer`] owned by a `Collector` thread
+//! that drains the ring concurrently.
 //!
 //! # Lifecycle
 //!
@@ -15,10 +14,7 @@
 //! hands the consumer back with everything it absorbed. The shutdown
 //! order matters and is handled here: the drain loop re-drains the ring
 //! *after* observing the stop flag, so records pushed right up to the
-//! `finish()` call are never stranded. (The producer must still flush
-//! its own local batch — e.g. [`RingTrace::flush`](rtr_trace::RingTrace::flush)
-//! — before calling `finish`, since the collector cannot see records the
-//! producer has not published.)
+//! `finish()` call are never stranded.
 //!
 //! Consumer callbacks run on the collector thread and must not read the
 //! wall clock: timing belongs to the producer side, and `rtr-lint`'s
@@ -43,10 +39,10 @@ const DRAIN_BATCH: usize = 1024;
 /// share of the producer's cycles.
 const IDLE_SPINS_BEFORE_SLEEP: u32 = 64;
 
-/// How long an idle collector sleeps between polls. Bounds both the
-/// worst-case producer stall once the ring fills (the producer's
-/// backpressure loop waits at most this long for the sleeping consumer
-/// to wake) and the extra latency a `finish()` call can observe.
+/// How long an idle collector sleeps between polls. Bounds both how long
+/// a burst can wait in the ring before the sleeping consumer wakes (and
+/// hence how soon a full ring drains again) and the extra latency a
+/// `finish()` call can observe.
 const IDLE_SLEEP: std::time::Duration = std::time::Duration::from_micros(50);
 
 /// A collector thread draining one SPSC ring into one [`RingConsumer`].
@@ -140,26 +136,26 @@ impl<C> Collector<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_trace::{metric_channel, ring, MetricMap, TraceOp};
+    use rtr_trace::{metric_channel, ring, MetricMap, MetricRecord};
 
-    /// A consumer that appends every op to a vec (test double for the
-    /// expensive sinks).
-    struct Capture(Vec<TraceOp>);
+    /// A consumer that appends every record to a vec (test double for
+    /// the expensive sinks).
+    struct Capture(Vec<MetricRecord>);
 
-    impl RingConsumer<TraceOp> for Capture {
-        fn consume_batch(&mut self, batch: &[TraceOp]) {
+    impl RingConsumer<MetricRecord> for Capture {
+        fn consume_batch(&mut self, batch: &[MetricRecord]) {
             self.0.extend_from_slice(batch);
         }
     }
 
     #[test]
     fn collector_drains_everything_published_before_finish() {
-        let (mut tx, rx) = ring::<TraceOp>(1 << 8);
+        let (mut tx, rx) = ring::<MetricRecord>(1 << 8);
         let collector = Collector::spawn(rx, Capture(Vec::new()));
-        let ops: Vec<TraceOp> = (0..10_000u64)
-            .map(|i| TraceOp {
-                addr: i,
-                is_write: i % 3 == 0,
+        let ops: Vec<MetricRecord> = (0..10_000u64)
+            .map(|i| MetricRecord {
+                id: u32::from(i % 3 == 0),
+                value: i,
             })
             .collect();
         let mut sent = 0;
@@ -178,7 +174,7 @@ mod tests {
 
     #[test]
     fn collector_finish_on_empty_ring_returns_immediately() {
-        let (_tx, rx) = ring::<TraceOp>(4);
+        let (_tx, rx) = ring::<MetricRecord>(4);
         let collector = Collector::spawn(rx, Capture(Vec::new()));
         assert!(collector.finish().0.is_empty());
     }

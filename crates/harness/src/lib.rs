@@ -19,10 +19,10 @@
 //!   loops: fixed chunk decomposition, order-preserving `par_map`, and
 //!   per-chunk seed streams, so parallel runs stay bit-identical to
 //!   sequential runs at any thread count.
-//! - [`Collector`] — the consumer thread of the lock-free telemetry
+//! - [`Collector`] — the consumer thread of the lock-free metric
 //!   transport: drains an `rtr-trace` SPSC ring into an owned
-//!   [`RingConsumer`](rtr_trace::ring::RingConsumer) (the cache
-//!   simulator, a metric map) off the hot thread.
+//!   [`RingConsumer`](rtr_trace::ring::RingConsumer) (a metric map)
+//!   off the hot thread.
 //!
 //! # Example
 //!

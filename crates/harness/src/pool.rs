@@ -109,13 +109,13 @@ impl Pool {
         }
         let bounds = chunk_boundaries(items.len(), self.threads.min(items.len()));
         let f = &f;
-        let result = crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = bounds
                 .iter()
                 .filter(|r| !r.is_empty())
                 .map(|r| {
                     let range = r.clone();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         items[range.clone()]
                             .iter()
                             .enumerate()
@@ -132,11 +132,7 @@ impl Pool {
                 }
             }
             out
-        });
-        match result {
-            Ok(out) => out,
-            Err(payload) => resume_unwind(payload),
-        }
+        })
     }
 
     /// [`Pool::par_map`] into a caller-owned buffer: `out` is cleared,
@@ -201,10 +197,10 @@ impl Pool {
             }
         }
         let f = &f;
-        let result = crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
-                .map(|(c, start, chunk)| scope.spawn(move |_| f(c, start, chunk)))
+                .map(|(c, start, chunk)| scope.spawn(move || f(c, start, chunk)))
                 .collect();
             for handle in handles {
                 if let Err(payload) = handle.join() {
@@ -212,9 +208,6 @@ impl Pool {
                 }
             }
         });
-        if let Err(payload) = result {
-            resume_unwind(payload);
-        }
     }
 }
 

@@ -95,18 +95,7 @@ pub const SIMD_HOT_FNS: [&str; 9] = [
 /// scans like any `*_into` span: they run once per telemetry record (or
 /// per batch) on the kernel's hot thread, and the transport's whole
 /// point is that this path never touches the allocator.
-pub const RING_HOT_FNS: [&str; 8] = [
-    "push",
-    "try_push",
-    "push_batch",
-    "try_push_batch",
-    "publish",
-    // RingTrace's amortized fast/slow split and the producer internals
-    // they lean on run on the same hot thread as the entry points.
-    "push_unpublished",
-    "push_slow",
-    "refresh_free",
-];
+pub const RING_HOT_FNS: [&str; 4] = ["push", "push_batch", "try_push_batch", "publish"];
 
 /// All rule identifiers, as used in `allow(<rule>)` annotations.
 pub const RULES: [&str; 8] = [

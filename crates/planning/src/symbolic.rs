@@ -14,13 +14,13 @@
 //! school challenge). The firefighting domain "has more valid actions"
 //! and therefore a higher branching factor — the paper's ~3.2× parallelism
 //! observation — which [`SymbolicPlanner`] exposes via per-plan branching
-//! statistics and a crossbeam-parallel expansion helper.
+//! statistics and a pool-parallel expansion helper.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use rtr_harness::{HotRegion, Profiler};
+use rtr_harness::{HotRegion, Pool, Profiler};
 use rtr_trace::{MemTrace, SharedTrace};
 
 use crate::search::{weighted_astar_traced, SearchSpace};
@@ -415,40 +415,32 @@ impl SymbolicPlanner {
     }
 }
 
-/// Evaluates the applicable-action sets of `states` in parallel with
-/// `threads` crossbeam threads.
+/// Evaluates the applicable-action sets of `states` in parallel on a
+/// `threads`-worker [`Pool`]; outputs are in `states` order for any
+/// thread count.
 ///
 /// "Every action translates into an edge in the graph representation of
 /// the problem, and the neighbors of every node at every step can be
 /// evaluated in parallel" — this helper is the kernel's parallel neighbor
 /// expansion, used by the `sym-fext` parallelism experiment.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
 pub fn expand_states_parallel(
     actions: &[GroundAction],
     states: &[State],
     threads: usize,
 ) -> Vec<Vec<usize>> {
     assert!(threads > 0, "need at least one thread");
-    let mut results: Vec<Vec<usize>> = vec![Vec::new(); states.len()];
-    let chunk = states.len().div_ceil(threads);
-    if chunk == 0 {
-        return results;
-    }
-    crossbeam::thread::scope(|scope| {
-        for (state_chunk, result_chunk) in states.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                for (state, result) in state_chunk.iter().zip(result_chunk.iter_mut()) {
-                    *result = actions
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| a.applicable(state))
-                        .map(|(i, _)| i)
-                        .collect();
-                }
-            });
-        }
+    Pool::new(threads).par_map(states, |_, state| {
+        actions
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.applicable(state))
+            .map(|(i, _)| i)
+            .collect()
     })
-    .expect("worker panicked");
-    results
 }
 
 /// The paper's Fig. 13 blocks-world domain with `n` blocks.

@@ -38,7 +38,7 @@ pub mod ring;
 pub mod sync;
 
 pub use metric::{metric_channel, Histogram, Metric, MetricMap, MetricPublisher, MetricRecord};
-pub use ring::{ring, RingConsumer, RingItem, RingProducer, RingReader, RingTrace};
+pub use ring::{ring, RingConsumer, RingItem, RingProducer, RingReader};
 pub use sync::CachePadded;
 
 /// A sink for a kernel's synthetic memory-access stream.

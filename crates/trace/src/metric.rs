@@ -1,4 +1,4 @@
-//! Time-series metric layer for the ring transport: fixed-capacity
+//! Time-series metric layer for the SPSC ring: fixed-capacity
 //! series plus HDR-style fixed-bucket latency histograms.
 //!
 //! The producer side publishes [`MetricRecord`]s (a `u32` metric id and

@@ -1,8 +1,8 @@
-//! A cache-line-padded SPSC ring buffer: the lock-free telemetry
+//! A cache-line-padded SPSC ring buffer: the lock-free metric
 //! transport's wire.
 //!
-//! One producer (the kernel's hot thread) streams fixed-size records to
-//! one consumer (the collector thread) through a power-of-two array of
+//! One producer (the hot thread) streams fixed-size records to one
+//! consumer (the collector thread) through a power-of-two array of
 //! atomic words. There are no locks and no CAS loops: the producer owns
 //! the tail cursor, the consumer owns the head cursor, and each side
 //! publishes its cursor with a release store that the other side reads
@@ -18,13 +18,11 @@
 //! consumer falls behind, [`RingProducer::push_batch`] (and
 //! [`push`](RingProducer::push)) drop the records that do not fit and
 //! count them in the [`dropped`](RingProducer::dropped) counter —
-//! telemetry may be lossy, the hot loop may not stall. Callers that need
-//! a *lossless* stream (the [`RingTrace`] cache-trace transport, whose
-//! consumer replays every op through the simulator) instead loop on the
-//! non-counting [`RingProducer::try_push`]/
-//! [`try_push_batch`](RingProducer::try_push_batch) and yield between
-//! attempts: explicit backpressure at the transport layer, chosen per
-//! stream, never silently inside the ring.
+//! telemetry may be lossy, the hot loop may not stall. The primitive
+//! underneath, [`RingProducer::try_push_batch`], accepts the prefix that
+//! fits without counting the rest, so a caller that must not lose
+//! records can retry the suffix itself: backpressure is the caller's
+//! choice, never silently inside the ring.
 //!
 //! SPSC is enforced by move semantics: [`ring`] returns one non-`Clone`
 //! [`RingProducer`] and one non-`Clone` [`RingReader`]; whichever thread
@@ -35,7 +33,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::sync::CachePadded;
-use crate::{MemTrace, TraceOp};
 
 /// Upper bound on [`RingItem::WORDS`]; lets the encode/decode scratch be
 /// a fixed stack array instead of a per-call allocation.
@@ -55,29 +52,6 @@ pub trait RingItem: Copy + Send + 'static {
 
     /// Reads an item back from `words`.
     fn decode(words: &[u64]) -> Self;
-}
-
-/// Packed into a single word: the address in bits 1.. and the
-/// read/write flag in bit 0. Addresses are therefore limited to 63 bits
-/// — far beyond both the simulator's synthetic offsets and real
-/// user-space pointers — and halving the slot traffic roughly halves
-/// the hot-loop cost of the ring transport.
-impl RingItem for TraceOp {
-    const WORDS: usize = 1;
-
-    #[inline]
-    fn encode(self, words: &mut [u64]) {
-        debug_assert!(self.addr < 1 << 63, "trace addresses are 63-bit");
-        words[0] = (self.addr << 1) | u64::from(self.is_write);
-    }
-
-    #[inline]
-    fn decode(words: &[u64]) -> Self {
-        TraceOp {
-            addr: words[0] >> 1,
-            is_write: words[0] & 1 != 0,
-        }
-    }
 }
 
 /// The cursors both sides share. Cursors are monotonically increasing
@@ -132,7 +106,6 @@ pub fn ring<T: RingItem>(capacity: usize) -> (RingProducer<T>, RingReader<T>) {
             capacity,
             cached_head: 0,
             tail: 0,
-            published: 0,
             _items: PhantomData,
         },
         RingReader {
@@ -153,15 +126,6 @@ pub fn ring<T: RingItem>(capacity: usize) -> (RingProducer<T>, RingReader<T>) {
 /// cached copy of the consumer's head, so the steady-state push touches
 /// no shared line except the slots and one release store of the tail;
 /// the head is re-read (acquire) only when the cached view looks full.
-///
-/// The per-item [`try_push`](Self::try_push) fast path additionally
-/// *defers* the tail's release store: items land in their slots
-/// immediately but become visible to the consumer only at the next
-/// [`publish`](Self::publish) — the batched-producer-writes contract
-/// without staging items through a local buffer first. The batch entry
-/// points ([`try_push_batch`](Self::try_push_batch) and everything built
-/// on it) publish on every call, and every slow path publishes before
-/// waiting on the consumer, so deferral can never starve the reader.
 pub struct RingProducer<T: RingItem> {
     shared: Arc<Shared>,
     /// Fat-pointer clone of the slot array (see [`Shared`]).
@@ -170,9 +134,6 @@ pub struct RingProducer<T: RingItem> {
     capacity: usize,
     cached_head: usize,
     tail: usize,
-    /// Tail value last release-stored to [`Shared::tail`]; slots in
-    /// `published..tail` are written but not yet visible.
-    published: usize,
     _items: PhantomData<fn(T)>,
 }
 
@@ -199,137 +160,18 @@ impl<T: RingItem> RingProducer<T> {
         self.shared.dropped.load(Ordering::Relaxed)
     }
 
-    /// Items written to their slots but not yet made visible by a
-    /// [`publish`](Self::publish).
-    pub fn unpublished(&self) -> usize {
-        self.tail.wrapping_sub(self.published)
-    }
-
-    /// Release-stores the tail, making every pushed item visible to the
-    /// consumer. No-op when nothing is pending; the batch entry points
-    /// call it automatically.
-    #[inline]
-    pub fn publish(&mut self) {
-        if self.published != self.tail {
-            // ORDERING: Release — pairs with the consumer's Acquire load
-            // of tail in pop_batch/is_empty; it orders the Relaxed slot
-            // stores before the tail becomes visible, which is the only
-            // thing handing slot contents to the other thread.
-            self.shared.tail.store(self.tail, Ordering::Release);
-            self.published = self.tail;
-        }
-    }
-
-    /// The full-ring slow path: publish what we have (so a retrying
-    /// caller can never starve the reader), refresh the cached head, and
-    /// report whether the ring is still full. Out of line so the
-    /// steady-state `try_push` stays a handful of instructions.
-    #[cold]
-    #[inline(never)]
-    fn still_full_after_refresh(&mut self) -> bool {
-        self.publish();
-        // ORDERING: Acquire — pairs with the consumer's Release store of
-        // head in pop_batch: slots the consumer freed are only reused
-        // after its reads of them are complete.
-        self.cached_head = self.shared.head.load(Ordering::Acquire);
-        self.tail.wrapping_sub(self.cached_head) == self.capacity
-    }
-
-    /// Pushes one item without publishing it (deferred batched
-    /// publication; see the type docs). Returns `false` — without
-    /// counting a drop — when the ring is full even after publishing
-    /// the pending items and re-reading the consumer's head, so a
-    /// retrying caller can never starve the reader.
-    #[inline]
-    pub fn try_push(&mut self, item: T) -> bool {
-        if self.tail.wrapping_sub(self.cached_head) == self.capacity
-            && self.still_full_after_refresh()
-        {
-            return false;
-        }
-        self.push_unpublished(item);
-        true
-    }
-
-    /// Writes one item to its slot and advances the private tail,
-    /// skipping the free-space check entirely. Logically (not memory-)
-    /// unsafe: the caller must have established room via
-    /// [`refresh_free`](Self::refresh_free) or a prior full check, or
-    /// the item silently overwrites an unread slot. Kept `pub(crate)`
-    /// so only this crate's transports ([`RingTrace`]) can amortize the
-    /// check across a whole refill window.
-    #[inline]
-    pub(crate) fn push_unpublished(&mut self, item: T) {
-        debug_assert!(
-            self.tail.wrapping_sub(self.cached_head) < self.capacity,
-            "push_unpublished requires established free space"
-        );
-        // ORDERING: Relaxed slot stores throughout — the Release store
-        // of tail in `publish` is the sole synchronization point handing
-        // these words to the consumer; ordering individual slot writes
-        // against each other buys nothing in an SPSC ring.
-        let mut scratch = [0u64; MAX_ITEM_WORDS];
-        item.encode(&mut scratch[..T::WORDS]);
-        if T::WORDS == 1 {
-            // One-word items (every trace record today): the slot array
-            // length IS the power-of-two capacity, so masking with
-            // `len - 1` both replaces the `mask` field load and lets the
-            // compiler prove the index in bounds — the hot store
-            // compiles to a bare `mov`. The branch is const-folded per
-            // monomorphization. `checked_sub` instead of an assert: the
-            // array is never empty (`ring()` rejects capacity 0), and a
-            // plain early return keeps the panic machinery — and with
-            // it the fast path's register-save prologue — out of this
-            // function entirely.
-            let words = &*self.words;
-            let Some(mask) = words.len().checked_sub(1) else {
-                return;
-            };
-            words[self.tail & mask].store(scratch[0], Ordering::Relaxed);
-        } else {
-            let base = (self.tail & self.mask) * T::WORDS;
-            for (k, word) in scratch[..T::WORDS].iter().enumerate() {
-                // Relaxed is enough: the release store in `publish` is
-                // what hands these words to the consumer.
-                self.words[base + k].store(*word, Ordering::Relaxed);
-            }
-        }
-        self.tail = self.tail.wrapping_add(1);
-    }
-
-    /// The producer's private tail cursor (monotonic, unwrapped).
-    #[inline]
-    pub(crate) fn tail_cursor(&self) -> usize {
-        self.tail
-    }
-
-    /// Re-reads the consumer's head (acquire) and returns how many free
-    /// slots the producer may now write without another check.
-    #[inline]
-    pub(crate) fn refresh_free(&mut self) -> usize {
-        // ORDERING: Acquire — pairs with the consumer's Release store of
-        // head; freed slots may only be rewritten after the consumer's
-        // reads of them have completed.
-        self.cached_head = self.shared.head.load(Ordering::Acquire);
-        self.capacity - self.tail.wrapping_sub(self.cached_head)
-    }
-
     /// Pushes a prefix of `items` — as many as currently fit — and
-    /// returns how many were accepted, publishing everything written so
-    /// far. Never waits, never drops: the caller decides whether the
-    /// rejected suffix is retried (lossless backpressure) or abandoned.
+    /// returns how many were accepted, publishing them. Never waits,
+    /// never drops: the caller decides whether the rejected suffix is
+    /// retried or abandoned.
     #[inline]
     pub fn try_push_batch(&mut self, items: &[T]) -> usize {
         let cap = self.capacity;
         let mut free = cap - self.tail.wrapping_sub(self.cached_head);
         if free < items.len() {
-            // Publish before (possibly) reporting the ring full, so a
-            // retrying caller's consumer always has work to drain.
-            // ORDERING: the Acquire head load pairs with the consumer's
-            // Release store in pop_batch (slot reuse); the Relaxed slot
-            // stores below are handed over by the Release tail store at
-            // the end of this fn.
-            self.publish();
+            // ORDERING: Acquire — pairs with the consumer's Release store
+            // of head in pop_batch: slots it freed are only rewritten
+            // after its reads of them are complete.
             self.cached_head = self.shared.head.load(Ordering::Acquire);
             free = cap - self.tail.wrapping_sub(self.cached_head);
         }
@@ -350,15 +192,20 @@ impl<T: RingItem> RingProducer<T> {
                 let mut scratch = [0u64; MAX_ITEM_WORDS];
                 item.encode(&mut scratch[..T::WORDS]);
                 for (word, value) in slot.iter().zip(scratch[..T::WORDS].iter()) {
-                    // Relaxed: the release store below publishes them.
+                    // ORDERING: Relaxed — the Release store of tail below
+                    // is the sole point handing these words to the
+                    // consumer; ordering slot writes against each other
+                    // buys nothing in an SPSC ring.
                     word.store(*value, Ordering::Relaxed);
                 }
             }
             written += run;
         }
         self.tail = self.tail.wrapping_add(n);
+        // ORDERING: Release — pairs with the consumer's Acquire load of
+        // tail in pop_batch/is_empty; it orders the Relaxed slot stores
+        // above before the tail becomes visible.
         self.shared.tail.store(self.tail, Ordering::Release);
-        self.published = self.tail;
         n
     }
 
@@ -427,8 +274,8 @@ impl<T: RingItem> RingReader<T> {
     /// path performs no heap allocation.
     pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         // ORDERING: the Acquire tail load pairs with the producer's
-        // Release tail store (publish): it makes the Relaxed slot stores
-        // behind it visible before we read them below.
+        // Release tail store in try_push_batch: it makes the Relaxed slot
+        // stores behind it visible before we read them below.
         let mut available = self.cached_tail.wrapping_sub(self.head);
         if available == 0 {
             self.cached_tail = self.shared.tail.load(Ordering::Acquire);
@@ -476,9 +323,9 @@ impl<T: RingItem> RingReader<T> {
 
 /// The collector-side contract: consumes batches drained from a ring.
 ///
-/// The collector thread owns the expensive sinks (the cache simulator,
-/// the metric map, report writers) and calls `consume_batch` with each
-/// drained slice, in production order. Consumer callbacks must not read
+/// The collector thread owns the expensive sinks (the metric map,
+/// report writers) and calls `consume_batch` with each drained slice,
+/// in production order. Consumer callbacks must not read
 /// the wall clock (`rtr-lint`'s `wall-clock` rule scans `consume_batch`
 /// bodies in every crate, including the measurement crates): timing
 /// happens on the producer side, the collector only aggregates.
@@ -487,184 +334,39 @@ pub trait RingConsumer<T>: Send {
     fn consume_batch(&mut self, batch: &[T]);
 }
 
-/// The lossless ring transport for kernel memory-access streams: a
-/// [`MemTrace`] sink that writes each op straight into its ring slot
-/// and release-stores the tail once per batch — the PR 6 batching
-/// contract without staging ops through a local buffer first (the
-/// double copy was the transport's dominant cost).
-///
-/// Unlike the metric path, a cache-trace stream cannot tolerate drops —
-/// the consumer replays it through the simulator, and a dropped op would
-/// change the report. The sink therefore applies *backpressure* instead
-/// of the ring's count-and-drop contract: when the ring is full it
-/// publishes what it has and yields the CPU until the collector frees
-/// space. The hot loop can stall (bounded by how far the consumer is
-/// behind) but the op stream arrives intact and in order, which is what
-/// makes the ring-transported `CacheReport` byte-identical to the
-/// inline path's.
-///
-/// Call [`flush`](RingTrace::flush) (or drop the session that owns the
-/// sink) before shutting down the collector, otherwise the tail of the
-/// stream is written but not yet published.
-#[derive(Debug)]
-pub struct RingTrace {
-    producer: RingProducer<TraceOp>,
-    batch: usize,
-    /// Absolute tail cursor at which the per-op fast path must stop and
-    /// run the slow path again: `limit - tail` slots are known-free (a
-    /// past head refresh proved it) and within the current publication
-    /// batch. The steady-state push therefore checks one equality
-    /// instead of re-deriving free space and batch fill every op.
-    limit: usize,
-}
-
-impl RingTrace {
-    /// Ops per tail publication; matches
-    /// [`BufferedTrace::DEFAULT_CAPACITY`](crate::BufferedTrace::DEFAULT_CAPACITY)
-    /// so the ring path amortizes its release store exactly as the
-    /// inline path amortizes its virtual dispatch. Publication is lazy:
-    /// a filled batch becomes visible on the next push past the window
-    /// boundary or at the next [`flush`](RingTrace::flush), whichever
-    /// comes first.
-    pub const DEFAULT_BATCH: usize = 4096;
-
-    /// Wraps `producer` with the default publication batch size.
-    pub fn new(producer: RingProducer<TraceOp>) -> Self {
-        Self::with_batch(producer, Self::DEFAULT_BATCH)
-    }
-
-    /// Wraps `producer` with an explicit publication batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn with_batch(mut producer: RingProducer<TraceOp>, batch: usize) -> Self {
-        assert!(batch > 0, "RingTrace batch size must be non-zero");
-        let free = producer.refresh_free();
-        let limit = producer.tail_cursor().wrapping_add(free.min(batch));
-        RingTrace {
-            producer,
-            batch,
-            limit,
-        }
-    }
-
-    /// Ops written to their slots but not yet published to the consumer.
-    pub fn pending(&self) -> usize {
-        self.producer.unpublished()
-    }
-
-    /// Publishes the batched tail, making every emitted op visible.
-    pub fn flush(&mut self) {
-        self.producer.publish();
-    }
-
-    /// Flushes the tail and returns the producer handle.
-    pub fn into_producer(mut self) -> RingProducer<TraceOp> {
-        self.flush();
-        self.producer
-    }
-
-    /// The push slow path, once per refill window: publish everything
-    /// pending (so the waiting loop always leaves the consumer work to
-    /// drain), wait for free space, size the next window, then land the
-    /// op. Taking `op` here (rather than returning to the fast path)
-    /// lets the hot `push` compile without a register-save prologue —
-    /// the slow branch is a bare tail call.
-    #[cold]
-    #[inline(never)]
-    fn push_slow(&mut self, op: TraceOp) {
-        self.producer.publish();
-        loop {
-            let free = self.producer.refresh_free();
-            if free > 0 {
-                self.limit = self
-                    .producer
-                    .tail_cursor()
-                    .wrapping_add(free.min(self.batch));
-                break;
-            }
-            std::thread::yield_now();
-        }
-        self.producer.push_unpublished(op);
-    }
-
-    #[inline]
-    fn push(&mut self, op: TraceOp) {
-        // `tail < limit` slots are known-free, so the steady-state op is
-        // one equality check plus the raw slot write. Publication is
-        // lazy: the batch becomes visible when the *next* push crosses
-        // the window boundary (or at the next `flush`), keeping the
-        // boundary check itself off the per-op path.
-        if self.producer.tail_cursor() != self.limit {
-            self.producer.push_unpublished(op);
-        } else {
-            self.push_slow(op);
-        }
-    }
-}
-
-impl MemTrace for RingTrace {
-    #[inline]
-    fn read(&mut self, addr: u64) {
-        self.push(TraceOp {
-            addr,
-            is_write: false,
-        });
-    }
-
-    #[inline]
-    fn write(&mut self, addr: u64) {
-        self.push(TraceOp {
-            addr,
-            is_write: true,
-        });
-    }
-
-    #[inline]
-    fn process_batch(&mut self, ops: &[TraceOp]) {
-        // Slot writes happen in call order, so the caller's batch lands
-        // after any per-op pushes; try_push_batch publishes as it goes.
-        let mut sent = 0;
-        while sent < ops.len() {
-            sent += self.producer.try_push_batch(&ops[sent..]);
-            if sent < ops.len() {
-                std::thread::yield_now();
-            }
-        }
-        // The batch moved the tail without consuming the per-op fast
-        // path's window: force the next push through the slow path.
-        self.limit = self.producer.tail_cursor();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricRecord;
 
-    fn op(addr: u64, is_write: bool) -> TraceOp {
-        TraceOp { addr, is_write }
+    /// A two-word record standing in for an access: the flag as the id,
+    /// the address as the value.
+    fn op(addr: u64, is_write: bool) -> MetricRecord {
+        MetricRecord {
+            id: u32::from(is_write),
+            value: addr,
+        }
     }
 
     #[test]
     fn items_round_trip_in_order_across_wrap() {
-        let (mut tx, mut rx) = ring::<TraceOp>(8);
+        let (mut tx, mut rx) = ring::<MetricRecord>(8);
         let mut popped = Vec::new();
         // 5 rounds of 6 through a capacity-8 ring crosses the wrap
         // boundary repeatedly.
         for round in 0..5u64 {
-            let batch: Vec<TraceOp> = (0..6).map(|i| op(round * 6 + i, i % 2 == 0)).collect();
+            let batch: Vec<MetricRecord> = (0..6).map(|i| op(round * 6 + i, i % 2 == 0)).collect();
             assert_eq!(tx.push_batch(&batch), 6);
             assert_eq!(rx.pop_batch(&mut popped, 16), 6);
         }
-        let expected: Vec<TraceOp> = (0..30).map(|i| op(i, i % 2 == 0)).collect();
+        let expected: Vec<MetricRecord> = (0..30).map(|i| op(i, i % 2 == 0)).collect();
         assert_eq!(popped, expected);
         assert_eq!(tx.dropped(), 0);
     }
 
     #[test]
     fn capacity_one_ring_alternates() {
-        let (mut tx, mut rx) = ring::<TraceOp>(1);
+        let (mut tx, mut rx) = ring::<MetricRecord>(1);
         let mut out = Vec::new();
         for i in 0..4u64 {
             assert!(tx.push(op(i, false)));
@@ -678,8 +380,8 @@ mod tests {
 
     #[test]
     fn push_batch_accepts_a_prefix_and_counts_the_rest() {
-        let (mut tx, mut rx) = ring::<TraceOp>(4);
-        let batch: Vec<TraceOp> = (0..7).map(|i| op(i, false)).collect();
+        let (mut tx, mut rx) = ring::<MetricRecord>(4);
+        let batch: Vec<MetricRecord> = (0..7).map(|i| op(i, false)).collect();
         assert_eq!(tx.push_batch(&batch), 4);
         assert_eq!(tx.dropped(), 3);
         let mut out = Vec::new();
@@ -689,7 +391,7 @@ mod tests {
 
     #[test]
     fn try_push_batch_never_counts_drops() {
-        let (mut tx, _rx) = ring::<TraceOp>(2);
+        let (mut tx, _rx) = ring::<MetricRecord>(2);
         assert_eq!(tx.try_push_batch(&[op(0, false); 5]), 2);
         assert_eq!(tx.try_push_batch(&[op(1, false)]), 0);
         assert_eq!(tx.dropped(), 0);
@@ -697,7 +399,7 @@ mod tests {
 
     #[test]
     fn pop_respects_max_and_reports_empty() {
-        let (mut tx, mut rx) = ring::<TraceOp>(8);
+        let (mut tx, mut rx) = ring::<MetricRecord>(8);
         assert!(rx.is_empty());
         tx.push_batch(&(0..6).map(|i| op(i, false)).collect::<Vec<_>>());
         assert!(!rx.is_empty());
@@ -712,80 +414,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_capacity_is_rejected() {
-        let _ = ring::<TraceOp>(6);
-    }
-
-    #[test]
-    fn ring_trace_flushes_batches_losslessly() {
-        let (tx, mut rx) = ring::<TraceOp>(8);
-        let mut trace = RingTrace::with_batch(tx, 3);
-        trace.read(0);
-        trace.write(64);
-        assert_eq!(trace.pending(), 2);
-        trace.read(128); // batch full; publication is lazy
-        assert_eq!(trace.pending(), 3);
-        trace.write(192); // crossing the window boundary auto-publishes
-        assert_eq!(trace.pending(), 1);
-        trace.flush();
-        let mut out = Vec::new();
-        rx.pop_batch(&mut out, 16);
-        assert_eq!(
-            out,
-            vec![op(0, false), op(64, true), op(128, false), op(192, true)]
-        );
-        assert_eq!(rx.dropped(), 0);
-    }
-
-    #[test]
-    fn ring_trace_process_batch_drains_pending_first() {
-        let (tx, mut rx) = ring::<TraceOp>(16);
-        let mut trace = RingTrace::with_batch(tx, 8);
-        trace.read(0);
-        trace.process_batch(&[op(64, true), op(128, false)]);
-        assert_eq!(trace.pending(), 0);
-        let mut out = Vec::new();
-        rx.pop_batch(&mut out, 16);
-        assert_eq!(out, vec![op(0, false), op(64, true), op(128, false)]);
-    }
-
-    #[test]
-    fn try_push_defers_visibility_until_publish() {
-        let (mut tx, mut rx) = ring::<TraceOp>(8);
-        assert!(tx.try_push(op(1, false)));
-        assert!(tx.try_push(op(2, true)));
-        assert_eq!(tx.unpublished(), 2);
-        let mut out = Vec::new();
-        assert_eq!(rx.pop_batch(&mut out, 8), 0, "unpublished = invisible");
-        tx.publish();
-        assert_eq!(tx.unpublished(), 0);
-        assert_eq!(rx.pop_batch(&mut out, 8), 2);
-        assert_eq!(out, vec![op(1, false), op(2, true)]);
-    }
-
-    #[test]
-    fn full_ring_try_push_publishes_before_refusing() {
-        let (mut tx, mut rx) = ring::<TraceOp>(2);
-        assert!(tx.try_push(op(1, false)));
-        assert!(tx.try_push(op(2, false)));
-        // The refusal's slow path must have published the pending pair,
-        // otherwise a retrying producer and the consumer deadlock.
-        assert!(!tx.try_push(op(3, false)));
-        assert_eq!(tx.dropped(), 0, "try_push never counts drops");
-        let mut out = Vec::new();
-        assert_eq!(rx.pop_batch(&mut out, 8), 2);
-        // Space freed: the retry lands.
-        assert!(tx.try_push(op(3, false)));
-        tx.publish();
-        assert_eq!(rx.pop_batch(&mut out, 8), 1);
-        assert_eq!(out.last(), Some(&op(3, false)));
-    }
-
-    #[test]
-    fn trace_op_encoding_round_trips() {
-        for case in [op(0, false), op((1 << 63) - 1, true), op(12345, true)] {
-            let mut words = [0u64; TraceOp::WORDS];
-            case.encode(&mut words);
-            assert_eq!(TraceOp::decode(&words), case);
-        }
+        let _ = ring::<MetricRecord>(6);
     }
 }

@@ -1,16 +1,11 @@
-//! Minimal concurrency primitives for the lock-free telemetry transport.
+//! Minimal concurrency primitives for the lock-free metric transport.
 //!
-//! Like the PR 1 `vendor/` stubs, this module exists because the build is
-//! fully offline: upstream the ring would sit on `crossbeam_utils`'s
-//! `CachePadded`, but vendoring a whole utility crate for one alignment
-//! wrapper is not worth it. Everything else the ring needs
-//! ([`core::sync::atomic::AtomicUsize`]/[`AtomicU64`](core::sync::atomic::AtomicU64)
-//! with acquire/release orderings, [`std::thread::yield_now`] for
-//! backpressure, [`std::sync::Arc`] for the shared allocation) has lived
-//! in `std` since well before the suite's MSRV, so the ring itself is
-//! dependency-free and — unlike upstream SPSC queues — entirely safe
-//! code. Swap this wrapper back to `crossbeam_utils::CachePadded` if a
-//! future environment has registry access.
+//! The build is fully offline, so the ring's one alignment wrapper lives
+//! here instead of in an external utility crate. Everything else the
+//! ring needs ([`core::sync::atomic::AtomicUsize`]/[`AtomicU64`](core::sync::atomic::AtomicU64)
+//! with acquire/release orderings, [`std::sync::Arc`] for the shared
+//! allocation) is in `std`, so the ring itself is dependency-free and —
+//! unlike upstream SPSC queues — entirely safe code.
 
 /// Pads and aligns a value to 64 bytes so two instances never share a
 /// cache line.

@@ -1,20 +1,42 @@
 //! Ring-semantics tests: proptests for wrap-around, capacity-1 and
-//! overflow-drop accounting, plus two-thread stress tests pinning the
+//! overflow-drop accounting, plus a two-thread stress test pinning the
 //! order-preservation and loss contracts across a real producer/consumer
 //! thread pair.
 
 use proptest::prelude::*;
 use rtr_trace::ring::{ring, RingItem};
-use rtr_trace::{MemTrace, RingTrace, TraceOp};
 
-fn op(addr: u64, is_write: bool) -> TraceOp {
-    TraceOp { addr, is_write }
+/// A one-word test record: the address in bits 1.., the read/write flag
+/// in bit 0, so addresses are limited to 63 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Op {
+    addr: u64,
+    is_write: bool,
+}
+
+impl RingItem for Op {
+    const WORDS: usize = 1;
+
+    fn encode(self, words: &mut [u64]) {
+        words[0] = (self.addr << 1) | u64::from(self.is_write);
+    }
+
+    fn decode(words: &[u64]) -> Self {
+        Op {
+            addr: words[0] >> 1,
+            is_write: words[0] & 1 != 0,
+        }
+    }
+}
+
+fn op(addr: u64, is_write: bool) -> Op {
+    Op { addr, is_write }
 }
 
 /// A single-thread lossless pump: pushes each batch with backpressure
 /// (drain-when-full) and drains the rest, returning the popped stream.
-fn pump_lossless(capacity: usize, batches: &[Vec<TraceOp>]) -> (Vec<TraceOp>, u64) {
-    let (mut tx, mut rx) = ring::<TraceOp>(capacity);
+fn pump_lossless(capacity: usize, batches: &[Vec<Op>]) -> (Vec<Op>, u64) {
+    let (mut tx, mut rx) = ring::<Op>(capacity);
     let mut popped = Vec::new();
     for batch in batches {
         let mut sent = 0;
@@ -41,7 +63,7 @@ proptest! {
     ) {
         let capacity = 1usize << capacity_log2;
         let mut next = 0u64;
-        let batches: Vec<Vec<TraceOp>> = lens
+        let batches: Vec<Vec<Op>> = lens
             .iter()
             .map(|&len| {
                 (0..len)
@@ -52,7 +74,7 @@ proptest! {
                     .collect()
             })
             .collect();
-        let expected: Vec<TraceOp> = batches.iter().flatten().copied().collect();
+        let expected: Vec<Op> = batches.iter().flatten().copied().collect();
         let (popped, dropped) = pump_lossless(capacity, &batches);
         prop_assert_eq!(popped, expected);
         prop_assert_eq!(dropped, 0u64);
@@ -62,12 +84,12 @@ proptest! {
     /// overflow counted.
     #[test]
     fn capacity_one_counts_every_overflow(pushes in prop::collection::vec(1usize..4, 1..20)) {
-        let (mut tx, mut rx) = ring::<TraceOp>(1);
+        let (mut tx, mut rx) = ring::<Op>(1);
         let mut out = Vec::new();
         let mut expected_drops = 0u64;
         let mut expected_accepted = 0usize;
         for (round, &burst) in pushes.iter().enumerate() {
-            let batch: Vec<TraceOp> = (0..burst as u64)
+            let batch: Vec<Op> = (0..burst as u64)
                 .map(|i| op(round as u64 * 10 + i, false))
                 .collect();
             let accepted = tx.push_batch(&batch);
@@ -90,13 +112,13 @@ proptest! {
         drain_every in 1usize..5,
     ) {
         let capacity = 1usize << capacity_log2;
-        let (mut tx, mut rx) = ring::<TraceOp>(capacity);
+        let (mut tx, mut rx) = ring::<Op>(capacity);
         let mut popped = Vec::new();
         let mut offered = 0u64;
         let mut accepted = 0u64;
         let mut next = 0u64;
         for (i, &len) in lens.iter().enumerate() {
-            let batch: Vec<TraceOp> = (0..len)
+            let batch: Vec<Op> = (0..len)
                 .map(|_| {
                     next += 1;
                     op(next, next.is_multiple_of(2))
@@ -118,68 +140,13 @@ proptest! {
     }
 }
 
-/// Two-thread stress: a lossless producer (RingTrace backpressure) racing
-/// a live consumer must deliver the exact produced stream, in order.
-#[test]
-fn two_thread_lossless_stream_is_order_identical() {
-    const OPS: u64 = 200_000;
-    let (tx, mut rx) = ring::<TraceOp>(1 << 10);
-    let producer = std::thread::spawn(move || {
-        let mut trace = RingTrace::with_batch(tx, 256);
-        for i in 0..OPS {
-            // Mix the entry points: per-op and pre-batched, like a real
-            // kernel stream through BufferedTrace.
-            if i % 1000 == 999 {
-                // Sentinel addresses near the top of the 63-bit packed
-                // address space.
-                let batch: Vec<TraceOp> = (0..5).map(|k| op((1 << 63) - 1 - k, true)).collect();
-                trace.process_batch(&batch);
-            }
-            if i % 2 == 0 {
-                trace.read(i * 64);
-            } else {
-                trace.write(i * 64);
-            }
-        }
-        trace.into_producer().dropped()
-    });
-
-    let mut popped = Vec::new();
-    let expected_len = (OPS + OPS / 1000 * 5) as usize;
-    let mut scratch = Vec::new();
-    while popped.len() < expected_len {
-        scratch.clear();
-        if rx.pop_batch(&mut scratch, 512) == 0 {
-            std::thread::yield_now();
-            continue;
-        }
-        popped.extend_from_slice(&scratch);
-    }
-    let dropped = producer.join().unwrap();
-    assert_eq!(dropped, 0, "lossless transport must not drop");
-    assert_eq!(rx.pop_batch(&mut popped, 16), 0, "stream fully drained");
-
-    // Rebuild the expected stream and compare element-wise.
-    let mut expected = Vec::with_capacity(expected_len);
-    for i in 0..OPS {
-        if i % 1000 == 999 {
-            for k in 0..5 {
-                expected.push(op((1 << 63) - 1 - k, true));
-            }
-        }
-        expected.push(op(i * 64, i % 2 == 1));
-    }
-    assert_eq!(popped.len(), expected.len());
-    assert_eq!(popped, expected);
-}
-
 /// Two-thread stress under count-and-drop: with a deliberately slow
 /// consumer the ring drops, but what survives is an in-order subsequence
 /// and the accounting balances exactly.
 #[test]
 fn two_thread_count_and_drop_survivors_are_an_ordered_subsequence() {
     const OPS: u64 = 100_000;
-    let (mut tx, mut rx) = ring::<TraceOp>(1 << 6);
+    let (mut tx, mut rx) = ring::<Op>(1 << 6);
     let producer = std::thread::spawn(move || {
         let mut accepted = 0u64;
         for i in 0..OPS {
@@ -208,18 +175,18 @@ fn two_thread_count_and_drop_survivors_are_an_ordered_subsequence() {
     assert!(popped.iter().all(|o| o.is_write == (o.addr % 7 == 0)));
 }
 
-/// The encoding layer itself: TraceOp and MetricRecord round-trip through
-/// their word encodings for adversarial values. TraceOp packs the
-/// read/write flag into bit 0, so its address space is 63 bits.
+/// The encoding layer itself: the one-word test record and the two-word
+/// MetricRecord round-trip through their word encodings for adversarial
+/// values.
 #[test]
 fn ring_item_encodings_round_trip() {
     use rtr_trace::MetricRecord;
     for addr in [0u64, 1, (1 << 63) - 1, 0x4000_0000_0000_0000] {
         for is_write in [false, true] {
             let o = op(addr, is_write);
-            let mut w = [0u64; TraceOp::WORDS];
+            let mut w = [0u64; Op::WORDS];
             o.encode(&mut w);
-            assert_eq!(TraceOp::decode(&w), o);
+            assert_eq!(Op::decode(&w), o);
         }
     }
     let r = MetricRecord {
